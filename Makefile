@@ -38,6 +38,7 @@ profile:
 ## wall-clock assertions don't belong in CI.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkTagCorpus' -benchtime=3x ./internal/core
+	$(GO) test -run='^$$' -bench='Benchmark(Fit|Predict)Default' -benchtime=3x ./internal/lstm
 	$(GO) test -run='^$$' -bench='BenchmarkBootstrap(Noop|Live)Recorder' -benchtime=1x .
 	$(GO) run ./cmd/paebench -exp table1 -items 90 -iterations 2 -benchjson BENCH_smoke.json
 
@@ -120,6 +121,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDiscoverCandidates -fuzztime=$(FUZZTIME) ./internal/seed
 	$(GO) test -run=^$$ -fuzz=FuzzTitleSeed -fuzztime=$(FUZZTIME) ./internal/seed
 	$(GO) test -run=^$$ -fuzz=FuzzLex -fuzztime=$(FUZZTIME) ./internal/htmlx
+	$(GO) test -run=^$$ -fuzz=FuzzTiledKernels -fuzztime=$(FUZZTIME) ./internal/mat
+	$(GO) test -run=^$$ -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/lstm
 
 clean:
 	$(GO) clean -testcache

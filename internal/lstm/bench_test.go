@@ -32,3 +32,38 @@ func BenchmarkPredict(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFitDefault trains at the default dimensions (48/24/24/48) on
+// generated Vacuum Cleaner titles, where the matrix-vector kernels dominate
+// as they do in the pipeline; smallConfig's toy sizes hide them.
+func BenchmarkFitDefault(b *testing.B) {
+	train := genSequences(21, 48)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (Trainer{}).Fit(train); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPredictDefault tags a held-out set of generated titles with a
+// default-dimension model the way one extract.Engine.TagSentences call does:
+// one predictor for the whole set.
+func BenchmarkPredictDefault(b *testing.B) {
+	model, err := Trainer{}.Fit(genSequences(21, 48))
+	if err != nil {
+		b.Fatal(err)
+	}
+	held := genSequences(22, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := model.(*Model).NewPredictor()
+		for _, s := range held {
+			if got := p.Predict(s); len(got) != len(s.Tokens) {
+				b.Fatal("bad prediction length")
+			}
+		}
+	}
+}

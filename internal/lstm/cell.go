@@ -3,6 +3,10 @@
 // feeding a word-level BiLSTM and a per-token softmax, trained with plain
 // SGD and dropout. Everything — cells, backpropagation through time,
 // embeddings — is implemented here on top of internal/mat.
+//
+// Training and inference are bit-exact against the straightforward
+// per-timestep formulation: the sequence kernels of internal/mat keep every
+// summation order, and DESIGN.md states which orders are fixed.
 package lstm
 
 import (
@@ -37,6 +41,63 @@ func newCell(din, h int, rng *mat.RNG) *cell {
 	return c
 }
 
+// arena hands out zeroed slices carved from one backing array and takes
+// them all back at once with reset. After a pass that overflowed, reset
+// grows the array to the pass's total, so a workspace or predictor soon
+// reaches a steady state in which a sentence allocates nothing. A slice
+// stays valid until the next reset.
+type arena[T any] struct {
+	buf  []T
+	off  int
+	used int // elements handed out since the last reset
+}
+
+func (a *arena[T]) alloc(n int) []T {
+	if a.off+n > len(a.buf) {
+		// Slices already handed out keep the old array alive. Growing by
+		// half of what the pass used so far bounds the waste of an
+		// overflowing pass, which reset then folds into one array.
+		a.buf = make([]T, max(n, a.used/2, 64))
+		a.off = 0
+	}
+	s := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	a.used += n
+	clear(s)
+	return s
+}
+
+func (a *arena[T]) reset() {
+	if a.used > len(a.buf) {
+		a.buf = make([]T, a.used)
+	}
+	a.off, a.used = 0, 0
+}
+
+// scratch is the arena set one sentence's forward and backward passes draw
+// from: vectors, vector lists and timestep caches.
+type scratch struct {
+	floats arena[float64]
+	vecs   arena[[]float64]
+	steps  arena[step]
+}
+
+func (s *scratch) reset() {
+	s.floats.reset()
+	s.vecs.reset()
+	s.steps.reset()
+}
+
+// reversed returns xs in reverse order, carved from s; it runs the backward
+// direction of a BiLSTM with the same cell code.
+func (s *scratch) reversed(xs [][]float64) [][]float64 {
+	out := s.vecs.alloc(len(xs))
+	for i, x := range xs {
+		out[len(xs)-1-i] = x
+	}
+	return out
+}
+
 // step holds the forward cache of one timestep, needed by backprop.
 type step struct {
 	x          []float64 // input (not owned)
@@ -45,25 +106,32 @@ type step struct {
 	h          []float64 // output
 }
 
-// forward runs the cell over inputs and returns the per-timestep caches.
-// prevH/prevC start at zero.
-func (c *cell) forward(inputs [][]float64) []step {
-	steps := make([]step, len(inputs))
+// forward runs the cell over xs and returns the per-timestep caches, carved
+// from s. prevH/prevC start at zero. The input projections b + Wx·xₜ of all
+// timesteps come first, in one tiled pass; only Wh·hₜ₋₁ stays in the
+// recurrence, so zₜ = (b + Wx·xₜ) + Wh·hₜ₋₁ sums in the per-step order.
+func (c *cell) forward(s *scratch, xs [][]float64) []step {
 	h := c.h
-	z := make([]float64, 4*h)
-	var prevH, prevC []float64
-	for t, x := range inputs {
-		copy(z, c.b)
-		c.wx.MulVecAdd(z, x)
-		if prevH != nil {
-			c.wh.MulVecAdd(z, prevH)
+	steps := s.steps.alloc(len(xs))
+	zs := s.vecs.alloc(len(xs))
+	for t := range xs {
+		// The gates overwrite z in place: i|f|g|o, then c, tanh(c) and h.
+		buf := s.floats.alloc(7 * h)
+		copy(buf, c.b)
+		zs[t] = buf[:4*h]
+		steps[t] = step{
+			x: xs[t],
+			i: buf[:h], f: buf[h : 2*h], g: buf[2*h : 3*h], o: buf[3*h : 4*h],
+			c: buf[4*h : 5*h], tc: buf[5*h : 6*h], h: buf[6*h:],
 		}
-		st := step{
-			x: x,
-			i: make([]float64, h), f: make([]float64, h),
-			g: make([]float64, h), o: make([]float64, h),
-			c: make([]float64, h), tc: make([]float64, h),
-			h: make([]float64, h),
+	}
+	c.wx.MulVecsAdd(zs, xs)
+	for t := range steps {
+		st, z := &steps[t], zs[t]
+		var prevC []float64
+		if t > 0 {
+			c.wh.MulVecAddTiled(z, steps[t-1].h)
+			prevC = steps[t-1].c
 		}
 		for j := 0; j < h; j++ {
 			st.i[j] = mat.Sigmoid(z[j])
@@ -78,8 +146,6 @@ func (c *cell) forward(inputs [][]float64) []step {
 			st.tc[j] = math.Tanh(st.c[j])
 			st.h[j] = st.o[j] * st.tc[j]
 		}
-		steps[t] = st
-		prevH, prevC = st.h, st.c
 	}
 	return steps
 }
@@ -125,22 +191,32 @@ func (g *cellGrad) norm2Sq() float64 {
 }
 
 // backward runs BPTT over the cached steps. dh[t] is the gradient flowing
-// into h_t from the layers above; the returned dx[t] is the gradient on the
-// input at t. Parameter gradients accumulate into g; the cell itself is only
-// read, so concurrent backward calls with distinct grads are safe.
-func (c *cell) backward(g *cellGrad, steps []step, dh [][]float64) [][]float64 {
-	h := c.h
-	n := len(steps)
-	dx := make([][]float64, n)
-	dhNext := make([]float64, h) // gradient on h_t from t+1
-	dcNext := make([]float64, h)
-	dz := make([]float64, 4*h)
-	for t := n - 1; t >= 0; t-- {
+// into h_t from the layers above; the returned dx[t], carved from s, is the
+// gradient on the input at t. Parameter gradients accumulate into g; the
+// cell itself is only read, so concurrent backward calls with distinct
+// grads are safe.
+//
+// Only the recurrent terms run per step. dWx += dzₜxₜᵀ, dWh += dzₜhₜ₋₁ᵀ and
+// dxₜ = Wxᵀdzₜ need nothing from the recurrence, so they run after the time
+// loop as tiled passes that give every element its terms in the per-step
+// order, t = n-1 … 0.
+func (c *cell) backward(s *scratch, g *cellGrad, steps []step, dh [][]float64) [][]float64 {
+	h, n := c.h, len(steps)
+	// Index k is the k-th step the loop visits, t = n-1-k.
+	dzs := s.vecs.alloc(n)
+	xs := s.vecs.alloc(n)
+	prevHs := s.vecs.alloc(n)
+	dxs := s.vecs.alloc(n)
+	dhNext := s.floats.alloc(h) // gradient on h_t from t+1
+	dcNext := s.floats.alloc(h)
+	for k := range steps {
+		t := n - 1 - k
 		st := steps[t]
 		var prevH, prevC []float64
 		if t > 0 {
 			prevH, prevC = steps[t-1].h, steps[t-1].c
 		}
+		dz := s.floats.alloc(4 * h)
 		for j := 0; j < h; j++ {
 			dhj := dh[t][j] + dhNext[j]
 			do := dhj * st.tc[j]
@@ -158,35 +234,18 @@ func (c *cell) backward(g *cellGrad, steps []step, dh [][]float64) [][]float64 {
 			dz[2*h+j] = dg * (1 - st.g[j]*st.g[j])
 			dz[3*h+j] = do * st.o[j] * (1 - st.o[j])
 		}
-		g.wx.RankOneAdd(1, dz, st.x)
-		if prevH != nil {
-			g.wh.RankOneAdd(1, dz, prevH)
-		}
 		mat.Axpy(1, dz, g.b)
-		dx[t] = make([]float64, c.din)
-		c.wx.MulVecT(dx[t], dz)
+		dzs[k], xs[k], prevHs[k] = dz, st.x, prevH
+		dxs[k] = s.floats.alloc(c.din)
 		mat.ZeroVec(dhNext)
 		if prevH != nil {
-			c.wh.MulVecT(dhNext, dz)
+			c.wh.MulVecTTiled(dhNext, dz)
 		}
 	}
-	return dx
-}
-
-// apply performs one SGD step against the gradients in g with learning rate
-// lr (the clip scale is already folded into lr by the caller).
-func (c *cell) apply(g *cellGrad, lr float64) {
-	c.wx.AddScaled(-lr, g.wx)
-	c.wh.AddScaled(-lr, g.wh)
-	mat.Axpy(-lr, g.b, c.b)
-}
-
-// reverse returns a reversed copy of a slice of vectors; used to run the
-// backward direction of a BiLSTM with the same cell code.
-func reverse[T any](xs []T) []T {
-	out := make([]T, len(xs))
-	for i, x := range xs {
-		out[len(xs)-1-i] = x
+	if n > 0 {
+		g.wx.RankOneAddSeq(dzs, xs)
+		g.wh.RankOneAddSeq(dzs[:n-1], prevHs[:n-1])
+		c.wx.MulVecTSeq(dxs, dzs)
 	}
-	return out
+	return s.reversed(dxs)
 }

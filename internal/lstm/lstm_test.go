@@ -199,8 +199,9 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		}
 		return l
 	}
-	// Analytic gradients via a dropout-free training pass: build the cache
-	// with an all-ones mask and inspect accumulated grads before apply.
+	// Analytic gradients via a dropout-free training pass: run the real
+	// backward pass with an all-ones mask and inspect the accumulated grads
+	// before any update.
 	w := newWorkspace(m)
 	cache := &fwdCache{dropMask: make([][]float64, len(seq.Tokens))}
 	for i := range cache.dropMask {
@@ -211,7 +212,7 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		cache.dropMask[i] = mask
 	}
 	m.forwardProbs(seq.Tokens, cache)
-	backpropOnly(m, w, seq, cache)
+	w.backprop(seq, cache)
 
 	check := func(name string, param, grad []float64, idx int) {
 		const eps = 1e-5
@@ -234,47 +235,4 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 	check("charFwd.wx", m.charFwd.wx.Data, w.gCharFwd.wx.Data, 1)
 	check("charBwd.wx", m.charBwd.wx.Data, w.gCharBwd.wx.Data, 4)
 	check("wordFwd.b", m.wordFwd.b, w.gWordFwd.b, 1)
-}
-
-// backpropOnly mirrors the backward half of trainSentence without the SGD
-// apply, leaving gradients in the accumulators for inspection.
-func backpropOnly(m *Model, w *workspace, seq tagger.Sequence, cache *fwdCache) {
-	cfg := m.cfg
-	n := len(seq.Tokens)
-	hw := cfg.WordHidden
-	hc := cfg.CharHidden
-	dhFwd := make([][]float64, n)
-	dhBwd := make([][]float64, n)
-	for t := 0; t < n; t++ {
-		dlogits := append([]float64(nil), cache.probs[t]...)
-		if y, ok := m.labelIdx[seq.Labels[t]]; ok {
-			dlogits[y]--
-		}
-		w.gOut.RankOneAdd(1, dlogits, cache.hidden[t])
-		dh := make([]float64, 2*hw)
-		m.out.MulVecT(dh, dlogits)
-		dhFwd[t] = dh[:hw]
-		dhBwd[n-1-t] = dh[hw:]
-	}
-	dRepFwd := m.wordFwd.backward(w.gWordFwd, cache.wordF, dhFwd)
-	dRepBwdRev := m.wordBwd.backward(w.gWordBwd, cache.wordB, dhBwd)
-	for t := 0; t < n; t++ {
-		dRep := dRepFwd[t]
-		mat.Axpy(1, dRepBwdRev[n-1-t], dRep)
-		chars := cache.charIDs[t]
-		if len(chars) == 0 {
-			continue
-		}
-		nf := len(cache.charF[t])
-		dhF := make([][]float64, nf)
-		dhB := make([][]float64, nf)
-		zero := make([]float64, hc)
-		for k := 0; k < nf; k++ {
-			dhF[k], dhB[k] = zero, zero
-		}
-		dhF[nf-1] = dRep[cfg.WordDim : cfg.WordDim+hc]
-		dhB[nf-1] = dRep[cfg.WordDim+hc:]
-		m.charFwd.backward(w.gCharFwd, cache.charF[t], dhF)
-		m.charBwd.backward(w.gCharBwd, cache.charB[t], dhB)
-	}
 }

@@ -3,6 +3,7 @@ package lstm
 import (
 	"fmt"
 	"sort"
+	"unicode/utf8"
 
 	"repro/internal/mat"
 	"repro/internal/tagger"
@@ -110,57 +111,26 @@ func (m *Model) wordID(w string) int {
 	return 0
 }
 
-func (m *Model) charIDs(w string) []int {
-	rs := []rune(w)
-	ids := make([]int, len(rs))
-	for i, r := range rs {
-		if id, ok := m.charVocab[r]; ok {
-			ids[i] = id
-		}
+// charForward runs the char-BiLSTM over the runes of w, carved from s; an
+// empty word has no steps. Runes outside the vocabulary read the UNK row.
+func (m *Model) charForward(s *scratch, w string) (fwd, bwd []step) {
+	xs := s.vecs.alloc(utf8.RuneCountInString(w))
+	if len(xs) == 0 {
+		return nil, nil
 	}
-	return ids
-}
-
-// tokenRep computes the representation of one token: char-BiLSTM final
-// states concatenated with the word embedding.
-func (m *Model) tokenRep(w string) (rep []float64, fwdSteps, bwdSteps []step, chars []int) {
-	chars = m.charIDs(w)
-	hc := m.cfg.CharHidden
-	rep = make([]float64, m.cfg.WordDim+2*hc)
-	copy(rep, m.wordEmb.Row(m.wordID(w)))
-	if len(chars) == 0 {
-		return rep, nil, nil, chars
+	k := 0
+	for _, r := range w {
+		xs[k] = m.charEmb.Row(m.charVocab[r])
+		k++
 	}
-	inputs := make([][]float64, len(chars))
-	for i, c := range chars {
-		inputs[i] = m.charEmb.Row(c)
-	}
-	fwdSteps = m.charFwd.forward(inputs)
-	bwdSteps = m.charBwd.forward(reverse(inputs))
-	copy(rep[m.cfg.WordDim:], fwdSteps[len(fwdSteps)-1].h)
-	copy(rep[m.cfg.WordDim+hc:], bwdSteps[len(bwdSteps)-1].h)
-	return rep, fwdSteps, bwdSteps, chars
+	return m.charFwd.forward(s, xs), m.charBwd.forward(s, s.reversed(xs))
 }
 
 // Predict implements tagger.Model: per-token argmax over the softmax output,
-// as in NeuroNER's demo configuration.
+// as in NeuroNER's demo configuration. Callers tagging many sentences should
+// mint a predictor with NewPredictor instead.
 func (m *Model) Predict(seq tagger.Sequence) []string {
-	n := len(seq.Tokens)
-	out := make([]string, n)
-	if n == 0 {
-		return out
-	}
-	probs := m.forwardProbs(seq.Tokens, nil)
-	for t := 0; t < n; t++ {
-		best, arg := -1.0, 0
-		for y, p := range probs[t] {
-			if p > best {
-				best, arg = p, y
-			}
-		}
-		out[t] = m.labels[arg]
-	}
-	return out
+	return m.newPredictor().Predict(seq)
 }
 
 // Probabilities returns the per-token label distribution, exposed for the
@@ -172,92 +142,156 @@ func (m *Model) Probabilities(seq tagger.Sequence) [][]float64 {
 // PredictWithConfidence implements tagger.ConfidenceModel: the argmax labels
 // plus their softmax probabilities.
 func (m *Model) PredictWithConfidence(seq tagger.Sequence) ([]string, []float64) {
+	return m.newPredictor().PredictWithConfidence(seq)
+}
+
+// NewPredictor implements tagger.PredictorModel.
+func (m *Model) NewPredictor() tagger.Model { return m.newPredictor() }
+
+// NewConfidencePredictor implements tagger.ConfidencePredictorModel.
+func (m *Model) NewConfidencePredictor() tagger.ConfidenceModel { return m.newPredictor() }
+
+// predictor tags sentences for one goroutine. It reuses one sentence's
+// scratch and memoises each distinct word's char-BiLSTM output, which
+// depends only on the word and the weights. The memo lives here rather than
+// on the Model because the weights are frozen only while a predictor is in
+// use: training never mints one, and a test that perturbs weights runs the
+// forward pass without one. It grows with the distinct words the predictor
+// sees, which the pipeline bounds by minting predictors per tagging call.
+type predictor struct {
+	m     *Model
+	cache fwdCache
+}
+
+func (m *Model) newPredictor() *predictor {
+	return &predictor{m: m, cache: fwdCache{memo: make(map[string][]float64)}}
+}
+
+// Predict implements tagger.Model.
+func (p *predictor) Predict(seq tagger.Sequence) []string {
+	labels, _ := p.PredictWithConfidence(seq)
+	return labels
+}
+
+// PredictWithConfidence implements tagger.ConfidenceModel.
+func (p *predictor) PredictWithConfidence(seq tagger.Sequence) ([]string, []float64) {
 	n := len(seq.Tokens)
 	labels := make([]string, n)
 	conf := make([]float64, n)
 	if n == 0 {
 		return labels, conf
 	}
-	probs := m.forwardProbs(seq.Tokens, nil)
-	for t := 0; t < n; t++ {
+	p.cache.sc.reset()
+	for t, row := range p.m.forwardProbs(seq.Tokens, &p.cache) {
 		best, arg := -1.0, 0
-		for y, p := range probs[t] {
-			if p > best {
-				best, arg = p, y
+		for y, v := range row {
+			if v > best {
+				best, arg = v, y
 			}
 		}
-		labels[t] = m.labels[arg]
+		labels[t] = p.m.labels[arg]
 		conf[t] = best
 	}
 	return labels, conf
 }
 
-// forwardProbs runs the full network forward. When cache is non-nil the
-// intermediate activations are stored there for backpropagation.
-func (m *Model) forwardProbs(tokens []string, cache *fwdCache) [][]float64 {
-	n := len(tokens)
-	reps := make([][]float64, n)
-	var charF, charB [][]step
-	var charIDs [][]int
-	if cache != nil {
-		charF = make([][]step, n)
-		charB = make([][]step, n)
-		charIDs = make([][]int, n)
+// forwardProbs runs the full network forward over tokens, drawing from the
+// scratch in c (a fresh one when c is nil). With a drop mask set (training)
+// it applies dropout to the token representations and keeps the
+// activations in c for backprop; with a memo set (a predictor) it looks up
+// and records char-BiLSTM outputs by word.
+func (m *Model) forwardProbs(tokens []string, c *fwdCache) [][]float64 {
+	if c == nil {
+		c = new(fwdCache)
 	}
+	s := &c.sc
+	n := len(tokens)
+	train := c.dropMask != nil
+	wd, hc := m.cfg.WordDim, m.cfg.CharHidden
+	reps := s.vecs.alloc(n)
+	if train {
+		c.charF = resize(c.charF, n)
+		c.charB = resize(c.charB, n)
+	}
+	// A token's representation is its word embedding followed by the final
+	// states of the forward and backward char LSTMs.
 	for t, w := range tokens {
-		rep, fs, bs, cs := m.tokenRep(w)
+		rep := s.floats.alloc(wd + 2*hc)
+		copy(rep, m.wordEmb.Row(m.wordID(w)))
 		reps[t] = rep
-		if cache != nil {
-			charF[t], charB[t], charIDs[t] = fs, bs, cs
+		if out, ok := c.memo[w]; ok {
+			copy(rep[wd:], out)
+			continue
+		}
+		fs, bs := m.charForward(s, w)
+		if train {
+			c.charF[t], c.charB[t] = fs, bs
+		}
+		if len(fs) > 0 {
+			copy(rep[wd:], fs[len(fs)-1].h)
+			copy(rep[wd+hc:], bs[len(bs)-1].h)
+		}
+		if c.memo != nil {
+			c.memo[w] = append([]float64(nil), rep[wd:]...)
 		}
 	}
-	if cache != nil && cache.dropMask != nil {
-		for t := range reps {
-			for j := range reps[t] {
-				reps[t][j] *= cache.dropMask[t][j]
+	if train {
+		for t, rep := range reps {
+			for j := range rep {
+				rep[j] *= c.dropMask[t][j]
 			}
 		}
 	}
-	fwdSteps := m.wordFwd.forward(reps)
-	bwdSteps := m.wordBwd.forward(reverse(reps))
+	fwdSteps := m.wordFwd.forward(s, reps)
+	bwdSteps := m.wordBwd.forward(s, s.reversed(reps))
 	hw := m.cfg.WordHidden
-	L := len(m.labels)
-	probs := make([][]float64, n)
-	hidden := make([][]float64, n)
-	for t := 0; t < n; t++ {
-		h := make([]float64, 2*hw)
+	probs := s.vecs.alloc(n)
+	hidden := s.vecs.alloc(n)
+	for t := range hidden {
+		h := s.floats.alloc(2 * hw)
 		copy(h, fwdSteps[t].h)
 		copy(h[hw:], bwdSteps[n-1-t].h)
 		hidden[t] = h
-		logits := make([]float64, L)
-		copy(logits, m.outB)
-		m.out.MulVecAdd(logits, h)
-		mat.Softmax(logits, logits)
-		probs[t] = logits
+		probs[t] = s.floats.alloc(len(m.labels))
+		copy(probs[t], m.outB)
 	}
-	if cache != nil {
-		cache.reps = reps
-		cache.charF, cache.charB, cache.charIDs = charF, charB, charIDs
-		cache.wordF, cache.wordB = fwdSteps, bwdSteps
-		cache.hidden = hidden
-		cache.probs = probs
-		cache.tokens = tokens
+	m.out.MulVecsAdd(probs, hidden)
+	for _, p := range probs {
+		mat.Softmax(p, p)
+	}
+	if train {
+		c.wordF, c.wordB = fwdSteps, bwdSteps
+		c.hidden, c.probs = hidden, probs
 	}
 	return probs
 }
 
-// fwdCache stores activations of one sentence for backprop.
+// fwdCache is the forward-pass state of one owner — a training workspace or
+// a predictor: the scratch every activation is carved from, plus what the
+// owner keeps between passes or for backprop.
 type fwdCache struct {
-	tokens   []string
-	reps     [][]float64
+	sc scratch
+	// memo maps a word to its char-BiLSTM output; set only by predictors.
+	memo map[string][]float64
+	// dropMask is the per-token inverted-dropout mask; set only in
+	// training, where it also makes forwardProbs keep the activations below.
 	dropMask [][]float64
 	charF    [][]step
 	charB    [][]step
-	charIDs  [][]int
 	wordF    []step
 	wordB    []step
 	hidden   [][]float64
 	probs    [][]float64
+}
+
+// resize returns xs with length n, reusing its array when it is big enough.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
 }
 
 // Degenerate-training errors returned by Fit; both wrap

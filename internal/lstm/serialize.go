@@ -21,10 +21,18 @@ func (c *cell) wire() cellWire {
 	return cellWire{Din: c.din, H: c.h, Wx: c.wx.Data, Wh: c.wh.Data, B: c.b}
 }
 
-func cellFromWire(w cellWire) (*cell, error) {
-	if w.Din <= 0 || w.H <= 0 ||
-		len(w.Wx) != 4*w.H*w.Din || len(w.Wh) != 4*w.H*w.H || len(w.B) != 4*w.H {
-		return nil, fmt.Errorf("lstm: corrupt cell (din=%d h=%d)", w.Din, w.H)
+// maxDim bounds every layer dimension a saved model may declare, so the
+// shape products below cannot overflow.
+const maxDim = 1 << 16
+
+// cellFromWire decodes a cell that must have input size din and hidden size
+// h.
+func cellFromWire(name string, w cellWire, din, h int) (*cell, error) {
+	if w.Din != din || w.H != h {
+		return nil, fmt.Errorf("lstm: %s cell is %d→%d, the model needs %d→%d", name, w.Din, w.H, din, h)
+	}
+	if len(w.Wx) != 4*w.H*w.Din || len(w.Wh) != 4*w.H*w.H || len(w.B) != 4*w.H {
+		return nil, fmt.Errorf("lstm: corrupt %s cell (din=%d h=%d)", name, w.Din, w.H)
 	}
 	return &cell{
 		din: w.Din, h: w.H,
@@ -102,31 +110,26 @@ func Load(r io.Reader) (*Model, error) {
 	if w.Version != wireVersion {
 		return nil, fmt.Errorf("lstm: unsupported model version %d", w.Version)
 	}
-	if len(w.Labels) == 0 {
-		return nil, fmt.Errorf("lstm: model has no labels")
-	}
-	cf, err := cellFromWire(w.CharFwd)
-	if err != nil {
-		return nil, err
-	}
-	cb, err := cellFromWire(w.CharBwd)
-	if err != nil {
-		return nil, err
-	}
-	wf, err := cellFromWire(w.WordFwd)
-	if err != nil {
-		return nil, err
-	}
-	wb, err := cellFromWire(w.WordBwd)
-	if err != nil {
-		return nil, err
-	}
 	cfg := w.Config
-	if w.WordEmbNR <= 0 || w.CharEmbNR <= 0 ||
-		len(w.WordEmb) != w.WordEmbNR*cfg.WordDim ||
-		len(w.CharEmb) != w.CharEmbNR*cfg.CharDim ||
-		len(w.Out) != w.OutRows*w.OutCols || len(w.OutB) != len(w.Labels) {
-		return nil, fmt.Errorf("lstm: corrupt model parameters")
+	if err := w.checkShapes(); err != nil {
+		return nil, err
+	}
+	cf, err := cellFromWire("char forward", w.CharFwd, cfg.CharDim, cfg.CharHidden)
+	if err != nil {
+		return nil, err
+	}
+	cb, err := cellFromWire("char backward", w.CharBwd, cfg.CharDim, cfg.CharHidden)
+	if err != nil {
+		return nil, err
+	}
+	repDim := cfg.WordDim + 2*cfg.CharHidden
+	wf, err := cellFromWire("word forward", w.WordFwd, repDim, cfg.WordHidden)
+	if err != nil {
+		return nil, err
+	}
+	wb, err := cellFromWire("word backward", w.WordBwd, repDim, cfg.WordHidden)
+	if err != nil {
+		return nil, err
 	}
 	m := &Model{
 		cfg:       cfg,
@@ -149,7 +152,42 @@ func Load(r io.Reader) (*Model, error) {
 	for i, r := range w.Chars {
 		m.charVocab[r] = i + 1
 	}
+	if len(m.labelIdx) != len(w.Labels) || len(m.wordVocab) != len(w.Words) || len(m.charVocab) != len(w.Chars) {
+		return nil, fmt.Errorf("lstm: model repeats a label, word or char")
+	}
 	return m, nil
+}
+
+// checkShapes cross-checks the dimensions a decoded model declares: every
+// vocabulary id must have an embedding row, and every matrix must have the
+// shape the configuration implies. Predict indexes through all of them.
+func (w *modelWire) checkShapes() error {
+	cfg := w.Config
+	for _, d := range []int{cfg.WordDim, cfg.CharDim, cfg.CharHidden, cfg.WordHidden} {
+		if d <= 0 || d > maxDim {
+			return fmt.Errorf("lstm: corrupt model config (dims %d/%d/%d/%d)",
+				cfg.WordDim, cfg.CharDim, cfg.CharHidden, cfg.WordHidden)
+		}
+	}
+	if len(w.Labels) == 0 {
+		return fmt.Errorf("lstm: model has no labels")
+	}
+	// Row counts are checked by division so a huge declared count cannot
+	// overflow into a match.
+	if w.WordEmbNR <= len(w.Words) || len(w.WordEmb)%cfg.WordDim != 0 || len(w.WordEmb)/cfg.WordDim != w.WordEmbNR {
+		return fmt.Errorf("lstm: word embeddings have %d values for %d rows of %d, vocabulary %d",
+			len(w.WordEmb), w.WordEmbNR, cfg.WordDim, len(w.Words))
+	}
+	if w.CharEmbNR <= len(w.Chars) || len(w.CharEmb)%cfg.CharDim != 0 || len(w.CharEmb)/cfg.CharDim != w.CharEmbNR {
+		return fmt.Errorf("lstm: char embeddings have %d values for %d rows of %d, vocabulary %d",
+			len(w.CharEmb), w.CharEmbNR, cfg.CharDim, len(w.Chars))
+	}
+	if w.OutRows != len(w.Labels) || w.OutCols != 2*cfg.WordHidden ||
+		len(w.Out) != w.OutRows*w.OutCols || len(w.OutB) != len(w.Labels) {
+		return fmt.Errorf("lstm: output layer is %d×%d, the model needs %d×%d",
+			w.OutRows, w.OutCols, len(w.Labels), 2*cfg.WordHidden)
+	}
+	return nil
 }
 
 // SaveFile writes the network to path.

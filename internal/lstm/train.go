@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/faultinject"
 	"repro/internal/mat"
@@ -35,8 +35,8 @@ type Trainer struct {
 // token representation, and global gradient-norm clipping. Each batch runs
 // forward/backward for its sentences in parallel (Config.Workers bounds the
 // fan-out) against the batch-start weights, then applies the per-sentence
-// updates sequentially in batch order — so the trained weights are
-// bit-identical for every Workers value. After every epoch the summed
+// updates, every parameter receiving them in batch order — so the trained
+// weights are bit-identical for every Workers value. After every epoch the summed
 // sentence NLL is checked: a NaN/Inf loss aborts training with an error
 // wrapping tagger.ErrDiverged so garbage weights never tag the corpus.
 func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
@@ -98,6 +98,10 @@ func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
 	for j := range wss {
 		wss[j] = newWorkspace(m)
 	}
+	up := newUpdater(m, wss)
+	// Activations live only while a sentence runs, so each worker keeps one
+	// forward cache rather than each batch slot.
+	caches := make([]fwdCache, min(par.Workers(cfg.Workers), slots))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if tr.Ctx != nil {
 			if err := tr.Ctx.Err(); err != nil {
@@ -118,11 +122,11 @@ func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
 			for j := range batch {
 				wss[j].maskSeed = rng.Uint64()
 			}
-			err := par.ForEach(tr.Ctx, cfg.Workers, len(batch), func(j int) error {
+			err := par.ForEachWorker(tr.Ctx, cfg.Workers, len(batch), func(wk, j int) error {
 				if err := tr.Inject.Fire(faultinject.StageLSTMBatch); err != nil {
 					return err
 				}
-				wss[j].gradSentence(seqs[batch[j]], mat.NewRNG(wss[j].maskSeed))
+				wss[j].gradSentence(seqs[batch[j]], mat.NewRNG(wss[j].maskSeed), &caches[wk])
 				return nil
 			})
 			if err != nil {
@@ -130,7 +134,9 @@ func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
 			}
 			for j := range batch {
 				loss += wss[j].nll
-				wss[j].apply(lr)
+			}
+			if err := up.apply(tr.Ctx, cfg.Workers, len(batch), lr); err != nil {
+				return nil, err
 			}
 		}
 		if tr.Inject.Poison(faultinject.StageLSTMEpoch) {
@@ -162,8 +168,12 @@ type workspace struct {
 	gOutB    []float64
 	gWordEmb map[int][]float64
 	gCharEmb map[int][]float64
-	maskSeed uint64  // dropout seed of the sentence currently in the slot
-	nll      float64 // NLL of that sentence under the batch-start weights
+	embRows  arena[float64] // backs the gWordEmb and gCharEmb rows
+	// wids and cids list the touched embedding rows in ascending order.
+	wids, cids []int
+	maskSeed   uint64  // dropout seed of the sentence currently in the slot
+	nll        float64 // NLL of that sentence under the batch-start weights
+	norm2      float64 // squared global norm of its gradients
 }
 
 func newWorkspace(m *Model) *workspace {
@@ -181,39 +191,50 @@ func newWorkspace(m *Model) *workspace {
 }
 
 // gradSentence runs forward and backward for one sentence, leaving the
-// gradients in the workspace and the sentence's negative log-likelihood in
-// w.nll. It only reads the model, so distinct workspaces may run
-// concurrently; rng drives the dropout masks and is private to the call.
-func (w *workspace) gradSentence(seq tagger.Sequence, rng *mat.RNG) {
+// gradients and their squared norm in the workspace and the sentence's
+// negative log-likelihood in w.nll. It only reads the model, so distinct
+// workspaces may run concurrently, each with its own activation cache c;
+// rng drives the dropout masks and is private to the call.
+func (w *workspace) gradSentence(seq tagger.Sequence, rng *mat.RNG, c *fwdCache) {
 	m := w.model
 	cfg := m.cfg
+	c.sc.reset()
 	n := len(seq.Tokens)
 	repDim := cfg.WordDim + 2*cfg.CharHidden
-
-	cache := &fwdCache{dropMask: make([][]float64, n)}
+	c.dropMask = resize(c.dropMask, n)
 	keep := 1 - cfg.Dropout
-	for t := 0; t < n; t++ {
-		mask := make([]float64, repDim)
+	for t := range c.dropMask {
+		mask := c.sc.floats.alloc(repDim)
 		for j := range mask {
 			if rng.Float64() < keep {
 				mask[j] = 1 / keep // inverted dropout
 			}
 		}
-		cache.dropMask[t] = mask
+		c.dropMask[t] = mask
 	}
-	m.forwardProbs(seq.Tokens, cache)
+	m.forwardProbs(seq.Tokens, c)
 
 	var nll float64
 	for t := 0; t < n && t < len(seq.Labels); t++ {
 		if y, ok := m.labelIdx[seq.Labels[t]]; ok {
 			// A poisoned or overflowed forward pass yields NaN probabilities,
 			// which propagate through the log into the epoch sum.
-			nll -= math.Log(cache.probs[t][y])
+			nll -= math.Log(c.probs[t][y])
 		}
 	}
 	w.nll = nll
+	w.backprop(seq, c)
+}
 
-	// Zero accumulators.
+// backprop runs the backward pass over the activations forwardProbs left in
+// c, replacing the workspace's gradients with the sentence's, and records
+// their squared global norm.
+func (w *workspace) backprop(seq tagger.Sequence, c *fwdCache) {
+	m := w.model
+	cfg := m.cfg
+	s := &c.sc
+	n := len(seq.Tokens)
+
 	w.gCharFwd.zero()
 	w.gCharBwd.zero()
 	w.gWordFwd.zero()
@@ -222,83 +243,87 @@ func (w *workspace) gradSentence(seq tagger.Sequence, rng *mat.RNG) {
 	mat.ZeroVec(w.gOutB)
 	clear(w.gWordEmb)
 	clear(w.gCharEmb)
+	w.embRows.reset()
 
 	// Output layer gradient: dlogits = p − onehot(gold).
 	hw := cfg.WordHidden
-	dhFwd := make([][]float64, n)
-	dhBwd := make([][]float64, n) // indexed in reversed order for wordBwd
-	for t := 0; t < n; t++ {
-		dlogits := append([]float64(nil), cache.probs[t]...)
+	dlogits := s.vecs.alloc(n)
+	dhs := s.vecs.alloc(n)
+	dhFwd := s.vecs.alloc(n)
+	dhBwd := s.vecs.alloc(n) // indexed in reversed order for wordBwd
+	for t := range dlogits {
+		dl := s.floats.alloc(len(m.labels))
+		copy(dl, c.probs[t])
 		if t < len(seq.Labels) {
 			if y, ok := m.labelIdx[seq.Labels[t]]; ok {
-				dlogits[y]--
+				dl[y]--
 			}
 		}
-		w.gOut.RankOneAdd(1, dlogits, cache.hidden[t])
-		mat.Axpy(1, dlogits, w.gOutB)
-		dh := make([]float64, 2*hw)
-		m.out.MulVecT(dh, dlogits)
+		mat.Axpy(1, dl, w.gOutB)
+		dh := s.floats.alloc(2 * hw)
+		dlogits[t], dhs[t] = dl, dh
 		dhFwd[t] = dh[:hw]
 		dhBwd[n-1-t] = dh[hw:]
 	}
-	dRepFwd := m.wordFwd.backward(w.gWordFwd, cache.wordF, dhFwd)
-	dRepBwdRev := m.wordBwd.backward(w.gWordBwd, cache.wordB, dhBwd)
+	w.gOut.RankOneAddSeq(dlogits, c.hidden)
+	m.out.MulVecTSeq(dhs, dlogits)
+	dRepFwd := m.wordFwd.backward(s, w.gWordFwd, c.wordF, dhFwd)
+	dRepBwdRev := m.wordBwd.backward(s, w.gWordBwd, c.wordB, dhBwd)
 
 	// Combine the two directions' input gradients, undo dropout, and split
 	// into word-embedding and char-representation parts.
-	hc := cfg.CharHidden
-	for t := 0; t < n; t++ {
+	wd, hc := cfg.WordDim, cfg.CharHidden
+	zero := s.floats.alloc(hc)
+	for t, tok := range seq.Tokens {
 		dRep := dRepFwd[t]
 		mat.Axpy(1, dRepBwdRev[n-1-t], dRep)
 		for j := range dRep {
-			dRep[j] *= cache.dropMask[t][j]
+			dRep[j] *= c.dropMask[t][j]
 		}
-		wid := m.wordID(seq.Tokens[t])
-		acc, ok := w.gWordEmb[wid]
-		if !ok {
-			acc = make([]float64, cfg.WordDim)
-			w.gWordEmb[wid] = acc
-		}
-		mat.Axpy(1, dRep[:cfg.WordDim], acc)
+		mat.Axpy(1, dRep[:wd], w.embGrad(w.gWordEmb, m.wordID(tok), wd))
 
-		chars := cache.charIDs[t]
-		if len(chars) == 0 {
+		nf := len(c.charF[t])
+		if nf == 0 {
 			continue
 		}
 		// Char BiLSTM: gradient lands only on the final step of each
 		// direction.
-		nf := len(cache.charF[t])
-		dhF := make([][]float64, nf)
-		dhB := make([][]float64, nf)
-		zero := make([]float64, hc)
-		for k := 0; k < nf; k++ {
+		dhF := s.vecs.alloc(nf)
+		dhB := s.vecs.alloc(nf)
+		for k := range dhF {
 			dhF[k], dhB[k] = zero, zero
 		}
-		dhF[nf-1] = dRep[cfg.WordDim : cfg.WordDim+hc]
-		dhB[nf-1] = dRep[cfg.WordDim+hc:]
-		dxF := m.charFwd.backward(w.gCharFwd, cache.charF[t], dhF)
-		dxB := m.charBwd.backward(w.gCharBwd, cache.charB[t], dhB)
-		for k, cid := range chars {
-			acc, ok := w.gCharEmb[cid]
-			if !ok {
-				acc = make([]float64, cfg.CharDim)
-				w.gCharEmb[cid] = acc
-			}
+		dhF[nf-1] = dRep[wd : wd+hc]
+		dhB[nf-1] = dRep[wd+hc:]
+		dxF := m.charFwd.backward(s, w.gCharFwd, c.charF[t], dhF)
+		dxB := m.charBwd.backward(s, w.gCharBwd, c.charB[t], dhB)
+		k := 0
+		for _, r := range tok {
+			acc := w.embGrad(w.gCharEmb, m.charVocab[r], cfg.CharDim)
 			mat.Axpy(1, dxF[k], acc)
 			mat.Axpy(1, dxB[nf-1-k], acc)
+			k++
 		}
 	}
-
+	w.norm2 = w.gradNorm2()
 }
 
-// apply clips the workspace's gradients by global norm and performs one SGD
-// step against the model. It mutates shared weights, so the trainer calls it
-// sequentially, in batch order.
-func (w *workspace) apply(lr float64) {
-	m := w.model
-	cfg := m.cfg
+// embGrad returns the gradient accumulator of embedding row id in grads,
+// carving a zeroed one on first use.
+func (w *workspace) embGrad(grads map[int][]float64, id, dim int) []float64 {
+	acc, ok := grads[id]
+	if !ok {
+		acc = w.embRows.alloc(dim)
+		grads[id] = acc
+	}
+	return acc
+}
 
-	// Global norm clipping across all parameter gradients.
+// gradNorm2 returns the squared global norm of the workspace's gradients
+// and leaves the touched embedding rows sorted in wids and cids. Sorting
+// fixes the floating-point accumulation order, so the clip scale is
+// identical across runs.
+func (w *workspace) gradNorm2() float64 {
 	norm2 := w.gCharFwd.norm2Sq() + w.gCharBwd.norm2Sq() +
 		w.gWordFwd.norm2Sq() + w.gWordBwd.norm2Sq()
 	for _, v := range w.gOut.Data {
@@ -307,44 +332,114 @@ func (w *workspace) apply(lr float64) {
 	for _, v := range w.gOutB {
 		norm2 += v * v
 	}
-	// Iterate embedding gradients in sorted-key order so the floating-point
-	// accumulation (and therefore the clip scale) is identical across runs.
-	wids := sortedKeys(w.gWordEmb)
-	cids := sortedKeys(w.gCharEmb)
-	for _, id := range wids {
+	w.wids = sortedKeys(w.wids, w.gWordEmb)
+	w.cids = sortedKeys(w.cids, w.gCharEmb)
+	for _, id := range w.wids {
 		for _, v := range w.gWordEmb[id] {
 			norm2 += v * v
 		}
 	}
-	for _, id := range cids {
+	for _, id := range w.cids {
 		for _, v := range w.gCharEmb[id] {
 			norm2 += v * v
 		}
 	}
-	scale := 1.0
-	if norm := math.Sqrt(norm2); norm > cfg.ClipNorm {
-		scale = cfg.ClipNorm / norm
-	}
-	step := lr * scale
-	m.charFwd.apply(w.gCharFwd, step)
-	m.charBwd.apply(w.gCharBwd, step)
-	m.wordFwd.apply(w.gWordFwd, step)
-	m.wordBwd.apply(w.gWordBwd, step)
-	m.out.AddScaled(-step, w.gOut)
-	mat.Axpy(-step, w.gOutB, m.outB)
-	for _, wid := range wids {
-		mat.Axpy(-step, w.gWordEmb[wid], m.wordEmb.Row(wid))
-	}
-	for _, cid := range cids {
-		mat.Axpy(-step, w.gCharEmb[cid], m.charEmb.Row(cid))
-	}
+	return norm2
 }
 
-func sortedKeys(m map[int][]float64) []int {
-	keys := make([]int, 0, len(m))
+func sortedKeys(dst []int, m map[int][]float64) []int {
+	dst = dst[:0]
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Ints(keys)
-	return keys
+	slices.Sort(dst)
+	return dst
+}
+
+// applyBlock is the number of parameters one apply work item updates.
+const applyBlock = 4096
+
+// updater applies a batch's SGD steps to the model. The dense parameters
+// (cell weights and biases, output layer) are split into element ranges
+// that workers update concurrently, each range taking the sentences'
+// updates in batch order; the sparse embedding rows follow serially, also
+// in batch order. Every parameter thus receives exactly the updates, in
+// exactly the order, of applying one sentence at a time.
+type updater struct {
+	model  *Model
+	wss    []*workspace
+	params [][]float64   // the model's dense parameters
+	grads  [][][]float64 // grads[j][p] is workspace j's gradient of params[p]
+	blocks []block
+	steps  []float64 // per-sentence step size of the current batch
+}
+
+// block is the element range [lo, hi) of dense parameter p.
+type block struct{ p, lo, hi int }
+
+func newUpdater(m *Model, wss []*workspace) *updater {
+	u := &updater{model: m, wss: wss, params: m.denseParams(), steps: make([]float64, len(wss))}
+	for _, w := range wss {
+		u.grads = append(u.grads, w.denseGrads())
+	}
+	for p, param := range u.params {
+		for lo := 0; lo < len(param); lo += applyBlock {
+			u.blocks = append(u.blocks, block{p, lo, min(lo+applyBlock, len(param))})
+		}
+	}
+	return u
+}
+
+// denseParams lists the model's dense parameters; denseGrads lists a
+// workspace's gradients in the same order.
+func (m *Model) denseParams() [][]float64 {
+	var ps [][]float64
+	for _, c := range []*cell{m.charFwd, m.charBwd, m.wordFwd, m.wordBwd} {
+		ps = append(ps, c.wx.Data, c.wh.Data, c.b)
+	}
+	return append(ps, m.out.Data, m.outB)
+}
+
+func (w *workspace) denseGrads() [][]float64 {
+	var gs [][]float64
+	for _, g := range []*cellGrad{w.gCharFwd, w.gCharBwd, w.gWordFwd, w.gWordBwd} {
+		gs = append(gs, g.wx.Data, g.wh.Data, g.b)
+	}
+	return append(gs, w.gOut.Data, w.gOutB)
+}
+
+// apply performs the SGD steps of the first n workspaces with learning rate
+// lr, each clipped by its sentence's global gradient norm, on at most
+// workers goroutines. It returns ctx's error if ctx is canceled first; the
+// weights are then partly updated and must be discarded.
+func (u *updater) apply(ctx context.Context, workers, n int, lr float64) error {
+	m := u.model
+	for j, w := range u.wss[:n] {
+		scale := 1.0
+		if norm := math.Sqrt(w.norm2); norm > m.cfg.ClipNorm {
+			scale = m.cfg.ClipNorm / norm
+		}
+		u.steps[j] = lr * scale
+	}
+	err := par.ForEach(ctx, workers, len(u.blocks), func(i int) error {
+		b := u.blocks[i]
+		dst := u.params[b.p][b.lo:b.hi]
+		for j, step := range u.steps[:n] {
+			mat.Axpy(-step, u.grads[j][b.p][b.lo:b.hi], dst)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for j, w := range u.wss[:n] {
+		step := u.steps[j]
+		for _, wid := range w.wids {
+			mat.Axpy(-step, w.gWordEmb[wid], m.wordEmb.Row(wid))
+		}
+		for _, cid := range w.cids {
+			mat.Axpy(-step, w.gCharEmb[cid], m.charEmb.Row(cid))
+		}
+	}
+	return nil
 }

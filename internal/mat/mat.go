@@ -7,6 +7,16 @@
 // write into a receiver never allocate, and constructors state their
 // allocation behaviour. Determinism matters here because the experiment
 // harness must regenerate the paper's tables bit-for-bit across runs.
+//
+// The BiLSTM runs on order-preserving tiled kernels (seq.go): MulVecsAdd,
+// RankOneAddSeq and MulVecTSeq apply a product to every timestep of a
+// sentence in one pass, and MulVecAddTiled and MulVecTTiled are the
+// single-vector forms for the recurrence. They load each weight row (or
+// output) once per four timesteps or rows, yet give every output element
+// its own accumulator and its terms in the order of the per-step kernels
+// MulVecAdd, RankOneAdd and MulVecT, skipping the same zero terms, so their
+// results are bit-identical. The per-step kernels stay as the reference
+// FuzzTiledKernels checks them against.
 package mat
 
 import (
