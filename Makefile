@@ -39,6 +39,7 @@ profile:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkTagCorpus' -benchtime=3x ./internal/core
 	$(GO) test -run='^$$' -bench='Benchmark(Fit|Predict)Default' -benchtime=3x ./internal/lstm
+	$(GO) test -run='^$$' -bench='BenchmarkFitDefault' -benchtime=3x ./internal/crf
 	$(GO) test -run='^$$' -bench='BenchmarkBootstrap(Noop|Live)Recorder' -benchtime=1x .
 	$(GO) run ./cmd/paebench -exp table1 -items 90 -iterations 2 -benchjson BENCH_smoke.json
 
@@ -123,6 +124,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLex -fuzztime=$(FUZZTIME) ./internal/htmlx
 	$(GO) test -run=^$$ -fuzz=FuzzTiledKernels -fuzztime=$(FUZZTIME) ./internal/mat
 	$(GO) test -run=^$$ -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/lstm
+	$(GO) test -run=^$$ -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/crf
 
 clean:
 	$(GO) clean -testcache

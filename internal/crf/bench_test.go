@@ -43,9 +43,24 @@ func BenchmarkForwardBackward(b *testing.B) {
 	m := tinyModel(1)
 	enc := &encodedSeq{feats: seqFeats(20)}
 	fb := newFB(len(m.labels))
+	transExp := transPotentials(nil, m.trans)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fb.run(m, enc, 20)
+		fb.run(m, transExp, enc, 20)
+	}
+}
+
+// BenchmarkFitDefault trains at the default Config on the workload-shaped
+// sequences TestFitGolden pins: about 20 labels and a thousand-odd features,
+// so it exercises the objective the way a bootstrap iteration does.
+func BenchmarkFitDefault(b *testing.B) {
+	train := genSequences(3, 56)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (Trainer{}).Fit(train); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

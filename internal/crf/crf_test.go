@@ -75,7 +75,7 @@ func TestForwardBackwardLogZMatchesBruteForce(t *testing.T) {
 		m := tinyModel(seed)
 		feats := seqFeats(5)
 		fb := newFB(len(m.labels))
-		fb.run(m, &encodedSeq{feats: feats}, 5)
+		fb.run(m, transPotentials(nil, m.trans), &encodedSeq{feats: feats}, 5)
 		want, _ := bruteForce(m, feats)
 		if math.Abs(fb.logZ-want) > 1e-8 {
 			t.Fatalf("seed %d: logZ = %v, brute force = %v", seed, fb.logZ, want)
@@ -87,7 +87,7 @@ func TestMarginalsSumToOne(t *testing.T) {
 	m := tinyModel(3)
 	feats := seqFeats(6)
 	fb := newFB(len(m.labels))
-	fb.run(m, &encodedSeq{feats: feats}, 6)
+	fb.run(m, transPotentials(nil, m.trans), &encodedSeq{feats: feats}, 6)
 	L := len(m.labels)
 	for pos := 0; pos < 6; pos++ {
 		var sum float64
@@ -104,18 +104,56 @@ func TestEdgeMarginalsSumToOne(t *testing.T) {
 	m := tinyModel(4)
 	feats := seqFeats(4)
 	fb := newFB(len(m.labels))
-	fb.run(m, &encodedSeq{feats: feats}, 4)
+	transExp := transPotentials(nil, m.trans)
+	fb.run(m, transExp, &encodedSeq{feats: feats}, 4)
 	L := len(m.labels)
 	for pos := 1; pos < 4; pos++ {
 		var sum float64
 		for p := 0; p < L; p++ {
 			for y := 0; y < L; y++ {
-				sum += fb.alpha[(pos-1)*L+p] * fb.transExp[p*L+y] *
+				sum += fb.alpha[(pos-1)*L+p] * transExp[p*L+y] *
 					fb.emitExp[pos*L+y] * fb.beta[pos*L+y] / fb.scale[pos]
 			}
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("edge marginals at %d sum to %v", pos, sum)
+		}
+	}
+}
+
+// TestSharedTransitionPotentials runs several workspaces against one
+// transition table over sequences of different lengths, interleaved the way
+// gradient partitions share it: each logZ must match brute force, the table
+// must be left unchanged, and a workspace reused for a shorter sequence must
+// give the same bits as a fresh one.
+func TestSharedTransitionPotentials(t *testing.T) {
+	m := tinyModel(6)
+	transExp := transPotentials(nil, m.trans)
+	orig := append([]float64(nil), transExp...)
+	fbs := []*fb{newFB(len(m.labels)), newFB(len(m.labels))}
+	for i, n := range []int{6, 1, 3, 5, 2, 4} {
+		feats := seqFeats(n)
+		w := fbs[i%len(fbs)]
+		w.run(m, transExp, &encodedSeq{feats: feats}, n)
+		want, _ := bruteForce(m, feats)
+		if math.Abs(w.logZ-want) > 1e-8 {
+			t.Fatalf("n=%d: logZ = %v, brute force = %v", n, w.logZ, want)
+		}
+		fresh := newFB(len(m.labels))
+		fresh.run(m, transPotentials(nil, m.trans), &encodedSeq{feats: feats}, n)
+		if math.Float64bits(fresh.logZ) != math.Float64bits(w.logZ) {
+			t.Fatalf("n=%d: reused workspace logZ %v, fresh %v", n, w.logZ, fresh.logZ)
+		}
+		for j := range fresh.alpha {
+			if math.Float64bits(fresh.alpha[j]) != math.Float64bits(w.alpha[j]) ||
+				math.Float64bits(fresh.beta[j]) != math.Float64bits(w.beta[j]) {
+				t.Fatalf("n=%d: reused workspace marginals differ at %d", n, j)
+			}
+		}
+	}
+	for i := range orig {
+		if math.Float64bits(orig[i]) != math.Float64bits(transExp[i]) {
+			t.Fatalf("transExp[%d] changed from %v to %v", i, orig[i], transExp[i])
 		}
 	}
 }
@@ -249,6 +287,10 @@ func TestFitErrors(t *testing.T) {
 	allO := []tagger.Sequence{{Tokens: []string{"a"}, PoS: []string{"NN"}, Labels: []string{"O"}}}
 	if _, err := (Trainer{}).Fit(allO); err == nil {
 		t.Fatal("all-Outside training set must error")
+	}
+	wide := Config{MaxIter: 3, Feature: FeatureConfig{Window: MaxWindow + 1}}
+	if _, err := (Trainer{Config: wide}).Fit(trainToy(1)); err == nil {
+		t.Fatal("a feature window past MaxWindow must error")
 	}
 }
 

@@ -17,8 +17,13 @@ import (
 // Window around t, the PoS tags of those words, the concatenation of those
 // PoS tags, and the sentence number.
 type FeatureConfig struct {
-	Window int // context radius; default 2
+	Window int // context radius; default 2, at most MaxWindow
 }
+
+// MaxWindow bounds FeatureConfig.Window. Featurising one position costs
+// O(Window), so Fit refuses a larger radius and Load rejects a model that
+// claims one: a crafted model must not be able to stall a decoder.
+const MaxWindow = 8
 
 func (c FeatureConfig) withDefaults() FeatureConfig {
 	if c.Window <= 0 {

@@ -96,6 +96,9 @@ type Decoder struct {
 	emitBuf []float64
 	enc     encodedSeq
 	fb      *fb
+	// transExp is transPotentials of the frozen weights, filled by the
+	// first PredictWithConfidence so Viterbi-only decoders never pay for it.
+	transExp []float64
 }
 
 // NewDecoder mints a decoder for use by a single goroutine.
@@ -148,7 +151,10 @@ func (d *Decoder) PredictWithConfidence(seq tagger.Sequence) ([]string, []float6
 	feats := d.featureIDs(seq)
 	d.viterbi(labels, feats, n)
 	d.enc.feats = feats
-	d.fb.run(m, &d.enc, n)
+	if d.transExp == nil {
+		d.transExp = transPotentials(nil, m.trans)
+	}
+	d.fb.run(m, d.transExp, &d.enc, n)
 	L := len(m.labels)
 	for t := 0; t < n; t++ {
 		y := m.labelIdx[labels[t]]
@@ -218,7 +224,7 @@ func (m *Model) MarginalPredict(seq tagger.Sequence) ([]string, []float64) {
 	}
 	enc := &encodedSeq{feats: m.featureIDs(seq)}
 	fb := newFB(len(m.labels))
-	fb.run(m, enc, n)
+	fb.run(m, transPotentials(nil, m.trans), enc, n)
 	L := len(m.labels)
 	for t := 0; t < n; t++ {
 		best, arg := -1.0, 0

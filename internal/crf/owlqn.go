@@ -44,8 +44,14 @@ func optimize(ctx context.Context, theta []float64, l1 float64, maxIter int, fn 
 	newGrad := make([]float64, n)
 	orth := make([]float64, n) // chosen orthant
 
-	var sList, yList [][]float64
-	var rhoList []float64
+	// The history holds at most history (s, y) pairs. A pair that is
+	// evicted, or rejected for curvature, becomes the next iteration's
+	// scratch, so the loop allocates nothing after the history fills.
+	sList := make([][]float64, 0, history+1)
+	yList := make([][]float64, 0, history+1)
+	rhoList := make([]float64, 0, history+1)
+	alphas := make([]float64, history)
+	var spareS, spareY []float64
 
 	loss, err := fn(theta, grad)
 	if err != nil {
@@ -69,7 +75,6 @@ func optimize(ctx context.Context, theta []float64, l1 float64, maxIter int, fn 
 		}
 		// Two-loop recursion: dir = -H·pg.
 		copy(dir, pg)
-		alphas := make([]float64, len(sList))
 		for i := len(sList) - 1; i >= 0; i-- {
 			alphas[i] = rhoList[i] * dot(sList[i], dir)
 			axpy(-alphas[i], yList[i], dir)
@@ -151,20 +156,26 @@ func optimize(ctx context.Context, theta []float64, l1 float64, maxIter int, fn 
 			break
 		}
 		// Update L-BFGS history with smooth-gradient differences.
-		s := make([]float64, n)
-		y := make([]float64, n)
+		s, y := spareS, spareY
+		if s == nil {
+			s = make([]float64, n)
+			y = make([]float64, n)
+		}
+		spareS, spareY = s, y
 		for i := range s {
 			s[i] = newX[i] - theta[i]
 			y[i] = newGrad[i] - grad[i]
 		}
 		if sy := dot(s, y); sy > 1e-10 {
+			spareS, spareY = nil, nil
 			sList = append(sList, s)
 			yList = append(yList, y)
 			rhoList = append(rhoList, 1/sy)
 			if len(sList) > history {
-				sList = sList[1:]
-				yList = yList[1:]
-				rhoList = rhoList[1:]
+				spareS, spareY = sList[0], yList[0]
+				sList = append(sList[:0], sList[1:]...)
+				yList = append(yList[:0], yList[1:]...)
+				rhoList = append(rhoList[:0], rhoList[1:]...)
 			}
 		}
 		copy(theta, newX)

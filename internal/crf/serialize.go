@@ -50,7 +50,10 @@ func (m *Model) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a model previously written by Save.
+// Load reads a model previously written by Save. It returns an error for a
+// stream that is not a consistent model: weight counts that do not match the
+// alphabets, a feature window outside 1..MaxWindow, duplicate labels or
+// features, or non-finite weights.
 func Load(r io.Reader) (*Model, error) {
 	var w modelWire
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&w); err != nil {
@@ -67,21 +70,54 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("crf: corrupt model: %d features, %d labels, %d emission and %d transition weights",
 			len(w.Features), L, len(w.Emit), len(w.Trans))
 	}
-	m := &Model{
+	if win := w.Config.Feature.Window; win < 1 || win > MaxWindow {
+		return nil, fmt.Errorf("crf: corrupt model: feature window %d outside 1..%d", win, MaxWindow)
+	}
+	if err := checkFinite("emission", w.Emit); err != nil {
+		return nil, err
+	}
+	if err := checkFinite("transition", w.Trans); err != nil {
+		return nil, err
+	}
+	labelIdx, err := indexStrings("label", w.Labels)
+	if err != nil {
+		return nil, err
+	}
+	featIdx, err := indexStrings("feature", w.Features)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{
 		cfg:      w.Config,
 		labels:   w.Labels,
-		labelIdx: make(map[string]int, L),
-		featIdx:  make(map[string]int, len(w.Features)),
+		labelIdx: labelIdx,
+		featIdx:  featIdx,
 		emit:     w.Emit,
 		trans:    w.Trans,
+	}, nil
+}
+
+// indexStrings maps each string to its position, rejecting duplicates: a
+// repeated label or feature would point its index at only one of the rows
+// the weights assign to it.
+func indexStrings(kind string, ss []string) (map[string]int, error) {
+	idx := make(map[string]int, len(ss))
+	for i, s := range ss {
+		if j, dup := idx[s]; dup {
+			return nil, fmt.Errorf("crf: corrupt model: %s %q at both %d and %d", kind, s, j, i)
+		}
+		idx[s] = i
 	}
-	for i, l := range w.Labels {
-		m.labelIdx[l] = i
+	return idx, nil
+}
+
+func checkFinite(kind string, ws []float64) error {
+	for i, w := range ws {
+		if !isFinite(w) {
+			return fmt.Errorf("crf: corrupt model: %s weight %d is %v", kind, i, w)
+		}
 	}
-	for i, f := range w.Features {
-		m.featIdx[f] = i
-	}
-	return m, nil
+	return nil
 }
 
 // SaveFile writes the model to path, creating or truncating it.

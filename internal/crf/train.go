@@ -92,6 +92,9 @@ type Trainer struct {
 // hits a NaN/Inf objective.
 func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
 	cfg := tr.Config.withDefaults()
+	if cfg.Feature.Window > MaxWindow {
+		return nil, fmt.Errorf("crf: feature window %d exceeds the maximum %d", cfg.Feature.Window, MaxWindow)
+	}
 	if len(train) == 0 {
 		return nil, fmt.Errorf("crf: empty training set: %w", tagger.ErrDegenerateTraining)
 	}
@@ -229,6 +232,10 @@ type gradientWorkers struct {
 	bufs      [][]float64 // one dense gradient buffer per partition
 	fbs       []*fb
 	losses    []float64
+	// transExp holds the transition potentials of the weights being
+	// evaluated. compute refills it before the partitions start, and every
+	// partition only reads it.
+	transExp []float64
 }
 
 func newGradientWorkers(m *Model, encoded []*encodedSeq, empirical []float64, cfg Config, ctx context.Context, inject *faultinject.Injector) *gradientWorkers {
@@ -256,6 +263,7 @@ func (g *gradientWorkers) compute(theta, grad []float64) (float64, error) {
 	F := len(g.m.featIdx)
 	g.m.emit = theta[:F*L]
 	g.m.trans = theta[F*L:]
+	g.transExp = transPotentials(g.transExp, g.m.trans)
 
 	parts := len(g.bufs)
 	if err := par.ForEach(g.ctx, g.cfg.Workers, parts, func(p int) error {
@@ -301,29 +309,32 @@ func (g *gradientWorkers) compute(theta, grad []float64) (float64, error) {
 
 // sequenceGrad adds the expected feature counts of one sequence into buf and
 // returns its negative log-likelihood contribution (logZ − goldScore).
+//
+// Every element of buf receives its terms in position order, and a zero
+// marginal adds nothing, so the scatter's layout does not change a bit of
+// the sums (DESIGN.md §10.2).
 func (g *gradientWorkers) sequenceGrad(enc *encodedSeq, fb *fb, buf []float64) float64 {
 	n := len(enc.feats)
 	L := len(g.m.labels)
 	F := len(g.m.featIdx)
-	fb.run(g.m, enc, n)
+	fb.run(g.m, g.transExp, enc, n)
 
 	transBase := F * L
-	// Expected emission counts via state marginals; BOS transition via the
-	// first-position marginal.
+	// Expected emission counts via state marginals, scattered into each
+	// active feature's contiguous row; BOS transition via the first-position
+	// marginal.
+	marg := fb.marg
 	for t := 0; t < n; t++ {
 		aRow := fb.alpha[t*L : (t+1)*L]
 		bRow := fb.beta[t*L : (t+1)*L]
-		for y := 0; y < L; y++ {
-			p := aRow[y] * bRow[y]
-			if p == 0 {
-				continue
-			}
-			for _, f := range enc.feats[t] {
-				buf[f*L+y] += p
-			}
-			if t == 0 {
-				buf[transBase+L*L+y] += p // BOS row
-			}
+		for y := range marg {
+			marg[y] = aRow[y] * bRow[y]
+		}
+		for _, f := range enc.feats[t] {
+			addMarginals(buf[f*L:(f+1)*L], marg)
+		}
+		if t == 0 {
+			addMarginals(buf[transBase+L*L:transBase+(L+1)*L], marg)
 		}
 	}
 	// Expected transition counts via edge marginals.
@@ -337,21 +348,29 @@ func (g *gradientWorkers) sequenceGrad(enc *encodedSeq, fb *fb, buf []float64) f
 			if ap == 0 {
 				continue
 			}
-			trow := fb.transExp[p*L : (p+1)*L]
+			trow := g.transExp[p*L : (p+1)*L]
 			dst := buf[transBase+p*L : transBase+(p+1)*L]
 			for y := 0; y < L; y++ {
 				dst[y] += ap * trow[y] * emitCur[y] * bCur[y] * invC
 			}
 		}
 	}
-	// Gold path score.
+	// Gold path score, from the emission scores the forward pass kept.
 	var gold float64
 	prev := L
-	scores := fb.scores
 	for t, y := range enc.labels {
-		g.m.emissionScores(scores, enc.feats[t])
-		gold += scores[y] + g.m.trans[prev*L+y]
+		gold += fb.emit[t*L+y] + g.m.trans[prev*L+y]
 		prev = y
 	}
 	return fb.logZ - gold
+}
+
+// addMarginals adds each nonzero marginal into the matching element of dst.
+func addMarginals(dst, marg []float64) {
+	for y, p := range marg {
+		if p == 0 {
+			continue
+		}
+		dst[y] += p
+	}
 }
