@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: verify build test vet race fuzz profile bench-smoke fmt-check serve-smoke fleet-smoke corpus-smoke title-smoke loop-smoke clean
+.PHONY: verify build cross test vet race fuzz profile bench-smoke fmt-check serve-smoke fleet-smoke corpus-smoke title-smoke loop-smoke clean
 
 ## verify is the tier-1 gate: every PR must leave it green.
-verify: fmt-check vet build race
+verify: fmt-check vet build cross race
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+## cross vets and builds for arm64, where the amd64 assembly kernels of
+## internal/crf are not compiled: it keeps the Go-only fallback building.
+## On amd64, the vet target's asmdecl check covers the assembly itself.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 ## -race on the CRF training loops is ~10× slower than native; the longer
 ## timeout keeps the suite from flaking on small (single-CPU) machines.
@@ -125,6 +132,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzTiledKernels -fuzztime=$(FUZZTIME) ./internal/mat
 	$(GO) test -run=^$$ -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/lstm
 	$(GO) test -run=^$$ -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/crf
+	$(GO) test -run=^$$ -fuzz=FuzzObjectiveKernels -fuzztime=$(FUZZTIME) ./internal/crf
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) ./internal/bundle
 
 clean:
 	$(GO) clean -testcache

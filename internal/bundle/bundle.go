@@ -472,7 +472,7 @@ func decode(raw []byte) (*Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := DecodeModel(bytes.NewReader(head.model))
+	model, err := decodeModel(head.model)
 	if err != nil {
 		return nil, err
 	}

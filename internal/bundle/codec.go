@@ -87,46 +87,69 @@ func EncodeModel(w io.Writer, m tagger.Model) error {
 }
 
 // DecodeModel reads a model previously written by EncodeModel. The reader
-// should be scoped to exactly one encoded model (the model packages' gob
-// decoders buffer reads, so trailing data in r would be consumed).
+// should be scoped to exactly one encoded model: DecodeModel reads it to
+// the end. Every failure wraps ErrCorrupt or ErrUnknownModel.
 func DecodeModel(r io.Reader) (tagger.Model, error) {
-	var kind [1]byte
-	if _, err := io.ReadFull(r, kind[:]); err != nil {
-		return nil, fmt.Errorf("%w: model kind: %v", ErrCorrupt, err)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: model: %v", ErrCorrupt, err)
 	}
-	switch kind[0] {
+	return decodeModel(raw)
+}
+
+// decodeModel decodes one encoded model held in raw. Ensemble members are
+// slices of raw, so a length prefix is checked against the bytes that are
+// actually left and never sizes an allocation.
+func decodeModel(raw []byte) (tagger.Model, error) {
+	if len(raw) == 0 {
+		return nil, fmt.Errorf("%w: model kind: %v", ErrCorrupt, io.ErrUnexpectedEOF)
+	}
+	kind, rest := raw[0], raw[1:]
+	switch kind {
 	case kindCRF:
-		return crf.Load(r)
-	case kindRNN:
-		return lstm.Load(r)
-	case kindEnsemble:
-		var head [2]byte
-		if _, err := io.ReadFull(r, head[:]); err != nil {
-			return nil, fmt.Errorf("%w: ensemble header: %v", ErrCorrupt, err)
+		m, err := crf.Load(bytes.NewReader(rest))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
-		mode := tagger.EnsembleMode(head[0])
-		count := int(head[1])
+		return m, nil
+	case kindRNN:
+		m, err := lstm.Load(bytes.NewReader(rest))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
+		return m, nil
+	case kindEnsemble:
+		if len(rest) < 2 {
+			return nil, fmt.Errorf("%w: ensemble header: %v", ErrCorrupt, io.ErrUnexpectedEOF)
+		}
+		mode := tagger.EnsembleMode(rest[0])
+		if mode > tagger.Majority {
+			return nil, fmt.Errorf("%w: ensemble mode %d", ErrCorrupt, rest[0])
+		}
+		count := int(rest[1])
 		if count == 0 {
 			return nil, fmt.Errorf("%w: ensemble with no members", ErrCorrupt)
 		}
+		rest = rest[2:]
 		e := &tagger.Ensemble{Mode: mode}
 		for i := 0; i < count; i++ {
-			var n [4]byte
-			if _, err := io.ReadFull(r, n[:]); err != nil {
-				return nil, fmt.Errorf("%w: ensemble member %d length: %v", ErrCorrupt, i, err)
+			if len(rest) < 4 {
+				return nil, fmt.Errorf("%w: ensemble member %d length: %v", ErrCorrupt, i, io.ErrUnexpectedEOF)
 			}
-			payload := make([]byte, binary.BigEndian.Uint32(n[:]))
-			if _, err := io.ReadFull(r, payload); err != nil {
-				return nil, fmt.Errorf("%w: ensemble member %d: %v", ErrCorrupt, i, err)
+			n := binary.BigEndian.Uint32(rest)
+			rest = rest[4:]
+			if uint64(n) > uint64(len(rest)) {
+				return nil, fmt.Errorf("%w: ensemble member %d claims %d bytes, %d left", ErrCorrupt, i, n, len(rest))
 			}
-			member, err := DecodeModel(bytes.NewReader(payload))
+			member, err := decodeModel(rest[:n])
 			if err != nil {
 				return nil, err
 			}
 			e.Members = append(e.Members, member)
+			rest = rest[n:]
 		}
 		return e, nil
 	default:
-		return nil, fmt.Errorf("%w: kind byte %q", ErrUnknownModel, kind[0])
+		return nil, fmt.Errorf("%w: kind byte %q", ErrUnknownModel, kind)
 	}
 }

@@ -43,11 +43,11 @@ func BenchmarkForwardBackward(b *testing.B) {
 	m := tinyModel(1)
 	enc := &encodedSeq{feats: seqFeats(20)}
 	fb := newFB(len(m.labels))
-	transExp := transPotentials(nil, m.trans)
+	pot := transPotentials(nil, m.trans, len(m.labels))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fb.run(m, transExp, enc, 20)
+		fb.run(m, pot, enc, 20)
 	}
 }
 

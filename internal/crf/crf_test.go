@@ -75,7 +75,7 @@ func TestForwardBackwardLogZMatchesBruteForce(t *testing.T) {
 		m := tinyModel(seed)
 		feats := seqFeats(5)
 		fb := newFB(len(m.labels))
-		fb.run(m, transPotentials(nil, m.trans), &encodedSeq{feats: feats}, 5)
+		fb.run(m, transPotentials(nil, m.trans, len(m.labels)), &encodedSeq{feats: feats}, 5)
 		want, _ := bruteForce(m, feats)
 		if math.Abs(fb.logZ-want) > 1e-8 {
 			t.Fatalf("seed %d: logZ = %v, brute force = %v", seed, fb.logZ, want)
@@ -87,7 +87,7 @@ func TestMarginalsSumToOne(t *testing.T) {
 	m := tinyModel(3)
 	feats := seqFeats(6)
 	fb := newFB(len(m.labels))
-	fb.run(m, transPotentials(nil, m.trans), &encodedSeq{feats: feats}, 6)
+	fb.run(m, transPotentials(nil, m.trans, len(m.labels)), &encodedSeq{feats: feats}, 6)
 	L := len(m.labels)
 	for pos := 0; pos < 6; pos++ {
 		var sum float64
@@ -104,14 +104,14 @@ func TestEdgeMarginalsSumToOne(t *testing.T) {
 	m := tinyModel(4)
 	feats := seqFeats(4)
 	fb := newFB(len(m.labels))
-	transExp := transPotentials(nil, m.trans)
-	fb.run(m, transExp, &encodedSeq{feats: feats}, 4)
+	pot := transPotentials(nil, m.trans, len(m.labels))
+	fb.run(m, pot, &encodedSeq{feats: feats}, 4)
 	L := len(m.labels)
 	for pos := 1; pos < 4; pos++ {
 		var sum float64
 		for p := 0; p < L; p++ {
 			for y := 0; y < L; y++ {
-				sum += fb.alpha[(pos-1)*L+p] * transExp[p*L+y] *
+				sum += fb.alpha[(pos-1)*L+p] * pot.exp[p*L+y] *
 					fb.emitExp[pos*L+y] * fb.beta[pos*L+y] / fb.scale[pos]
 			}
 		}
@@ -128,19 +128,19 @@ func TestEdgeMarginalsSumToOne(t *testing.T) {
 // give the same bits as a fresh one.
 func TestSharedTransitionPotentials(t *testing.T) {
 	m := tinyModel(6)
-	transExp := transPotentials(nil, m.trans)
-	orig := append([]float64(nil), transExp...)
+	pot := transPotentials(nil, m.trans, len(m.labels))
+	orig := append(append([]float64(nil), pot.exp...), pot.expT...)
 	fbs := []*fb{newFB(len(m.labels)), newFB(len(m.labels))}
 	for i, n := range []int{6, 1, 3, 5, 2, 4} {
 		feats := seqFeats(n)
 		w := fbs[i%len(fbs)]
-		w.run(m, transExp, &encodedSeq{feats: feats}, n)
+		w.run(m, pot, &encodedSeq{feats: feats}, n)
 		want, _ := bruteForce(m, feats)
 		if math.Abs(w.logZ-want) > 1e-8 {
 			t.Fatalf("n=%d: logZ = %v, brute force = %v", n, w.logZ, want)
 		}
 		fresh := newFB(len(m.labels))
-		fresh.run(m, transPotentials(nil, m.trans), &encodedSeq{feats: feats}, n)
+		fresh.run(m, transPotentials(nil, m.trans, len(m.labels)), &encodedSeq{feats: feats}, n)
 		if math.Float64bits(fresh.logZ) != math.Float64bits(w.logZ) {
 			t.Fatalf("n=%d: reused workspace logZ %v, fresh %v", n, w.logZ, fresh.logZ)
 		}
@@ -151,9 +151,9 @@ func TestSharedTransitionPotentials(t *testing.T) {
 			}
 		}
 	}
-	for i := range orig {
-		if math.Float64bits(orig[i]) != math.Float64bits(transExp[i]) {
-			t.Fatalf("transExp[%d] changed from %v to %v", i, orig[i], transExp[i])
+	for i, v := range append(append([]float64(nil), pot.exp...), pot.expT...) {
+		if math.Float64bits(orig[i]) != math.Float64bits(v) {
+			t.Fatalf("potential %d changed from %v to %v", i, orig[i], v)
 		}
 	}
 }

@@ -9,17 +9,30 @@ type encodedSeq struct {
 	labels []int
 }
 
-// transPotentials returns exp(w) for every transition weight, reusing dst
-// when it is large enough. The potentials depend only on the weights, so one
-// table serves every sequence scored against the same weights; run only
-// reads it, which lets any number of fb workspaces share it.
-func transPotentials(dst, trans []float64) []float64 {
-	if cap(dst) < len(trans) {
-		dst = make([]float64, len(trans))
+// potentials holds exp(w) of every transition weight in two layouts. They
+// depend only on the weights, so one table serves every sequence scored
+// against the same weights; run only reads it, which lets any number of fb
+// workspaces share it.
+type potentials struct {
+	exp  []float64 // (L+1)·L, row-major by previous label; the last row is BOS
+	expT []float64 // L·L, exp's label rows transposed: expT[q·L+y] = exp[y·L+q]
+}
+
+// transPotentials fills the potentials of trans, a model with L labels,
+// into dst, allocating it when dst is nil; a non-nil dst must come from the
+// same model. The transposed table is a copy of the same values, so both
+// layouts hold identical bits.
+func transPotentials(dst *potentials, trans []float64, L int) *potentials {
+	if dst == nil {
+		dst = &potentials{exp: make([]float64, len(trans)), expT: make([]float64, L*L)}
 	}
-	dst = dst[:len(trans)]
 	for i, w := range trans {
-		dst[i] = math.Exp(w)
+		dst.exp[i] = math.Exp(w)
+	}
+	for y := 0; y < L; y++ {
+		for q := 0; q < L; q++ {
+			dst.expT[q*L+y] = dst.exp[y*L+q]
+		}
 	}
 	return dst
 }
@@ -67,9 +80,9 @@ func (f *fb) resize(n int) {
 }
 
 // run executes scaled forward–backward over the first n positions of enc and
-// stores the raw emission scores, alpha, beta, scale and logZ. transExp is
-// transPotentials of m.trans; run never writes it.
-func (f *fb) run(m *Model, transExp []float64, enc *encodedSeq, n int) {
+// stores the raw emission scores, alpha, beta, scale and logZ. pot holds the
+// transition potentials of m.trans; run never writes it.
+func (f *fb) run(m *Model, pot *potentials, enc *encodedSeq, n int) {
 	L := f.L
 	f.resize(n)
 	// Emission potentials with per-position max subtraction for stability.
@@ -89,7 +102,8 @@ func (f *fb) run(m *Model, transExp []float64, enc *encodedSeq, n int) {
 		}
 	}
 	// Forward.
-	bos := transExp[L*L:]
+	trans := pot.exp[:L*L]
+	bos := pot.exp[L*L:]
 	var logZ float64
 	a0 := f.alpha[:L]
 	var c float64
@@ -107,26 +121,11 @@ func (f *fb) run(m *Model, transExp []float64, enc *encodedSeq, n int) {
 	f.scale[0] = c
 	logZ = math.Log(c) + f.emitMax[0]
 	for t := 1; t < n; t++ {
-		prev := f.alpha[(t-1)*L : t*L]
 		cur := f.alpha[t*L : (t+1)*L]
-		emit := f.emitExp[t*L : (t+1)*L]
-		for y := 0; y < L; y++ {
-			cur[y] = 0
-		}
-		for p := 0; p < L; p++ {
-			ap := prev[p]
-			if ap == 0 {
-				continue
-			}
-			trow := transExp[p*L : (p+1)*L]
-			for y := 0; y < L; y++ {
-				cur[y] += ap * trow[y]
-			}
-		}
+		forwardStep(cur, f.alpha[(t-1)*L:t*L], trans, f.emitExp[t*L:(t+1)*L])
 		c = 0
-		for y := 0; y < L; y++ {
-			cur[y] *= emit[y]
-			c += cur[y]
+		for _, v := range cur {
+			c += v
 		}
 		if c == 0 {
 			c = 1e-300
@@ -145,17 +144,7 @@ func (f *fb) run(m *Model, transExp []float64, enc *encodedSeq, n int) {
 		last[y] = 1
 	}
 	for t := n - 2; t >= 0; t-- {
-		next := f.beta[(t+1)*L : (t+2)*L]
-		cur := f.beta[t*L : (t+1)*L]
-		emitNext := f.emitExp[(t+1)*L : (t+2)*L]
-		cNext := f.scale[t+1]
-		for y := 0; y < L; y++ {
-			trow := transExp[y*L : (y+1)*L]
-			var s float64
-			for q := 0; q < L; q++ {
-				s += trow[q] * emitNext[q] * next[q]
-			}
-			cur[y] = s / cNext
-		}
+		backwardStep(f.beta[t*L:(t+1)*L], f.beta[(t+1)*L:(t+2)*L], pot.expT,
+			f.emitExp[(t+1)*L:(t+2)*L], f.scale[t+1])
 	}
 }

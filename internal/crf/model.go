@@ -50,16 +50,10 @@ func (m *Model) featureIDs(seq tagger.Sequence) [][]int {
 // emissionScores fills dst (len numLabels) with the emission score of every
 // label at a position whose active features are feats.
 func (m *Model) emissionScores(dst []float64, feats []int) {
-	L := len(m.labels)
 	for y := range dst {
 		dst[y] = 0
 	}
-	for _, f := range feats {
-		row := m.emit[f*L : (f+1)*L]
-		for y, w := range row {
-			dst[y] += w
-		}
-	}
+	addRows(dst, m.emit, feats)
 }
 
 // Predict implements tagger.Model using exact Viterbi decoding. Callers
@@ -96,9 +90,9 @@ type Decoder struct {
 	emitBuf []float64
 	enc     encodedSeq
 	fb      *fb
-	// transExp is transPotentials of the frozen weights, filled by the
-	// first PredictWithConfidence so Viterbi-only decoders never pay for it.
-	transExp []float64
+	// pot is transPotentials of the frozen weights, filled by the first
+	// PredictWithConfidence so Viterbi-only decoders never pay for it.
+	pot *potentials
 }
 
 // NewDecoder mints a decoder for use by a single goroutine.
@@ -151,11 +145,11 @@ func (d *Decoder) PredictWithConfidence(seq tagger.Sequence) ([]string, []float6
 	feats := d.featureIDs(seq)
 	d.viterbi(labels, feats, n)
 	d.enc.feats = feats
-	if d.transExp == nil {
-		d.transExp = transPotentials(nil, m.trans)
-	}
-	d.fb.run(m, d.transExp, &d.enc, n)
 	L := len(m.labels)
+	if d.pot == nil {
+		d.pot = transPotentials(nil, m.trans, L)
+	}
+	d.fb.run(m, d.pot, &d.enc, n)
 	for t := 0; t < n; t++ {
 		y := m.labelIdx[labels[t]]
 		conf[t] = d.fb.alpha[t*L+y] * d.fb.beta[t*L+y]
@@ -223,9 +217,9 @@ func (m *Model) MarginalPredict(seq tagger.Sequence) ([]string, []float64) {
 		return labels, conf
 	}
 	enc := &encodedSeq{feats: m.featureIDs(seq)}
-	fb := newFB(len(m.labels))
-	fb.run(m, transPotentials(nil, m.trans), enc, n)
 	L := len(m.labels)
+	fb := newFB(L)
+	fb.run(m, transPotentials(nil, m.trans, L), enc, n)
 	for t := 0; t < n; t++ {
 		best, arg := -1.0, 0
 		for y := 0; y < L; y++ {

@@ -251,12 +251,6 @@ func dot(x, y []float64) float64 {
 	return s
 }
 
-func axpy(a float64, x, y []float64) {
-	for i, v := range x {
-		y[i] += a * v
-	}
-}
-
 func sign(v float64) float64 {
 	switch {
 	case v > 0:

@@ -232,10 +232,10 @@ type gradientWorkers struct {
 	bufs      [][]float64 // one dense gradient buffer per partition
 	fbs       []*fb
 	losses    []float64
-	// transExp holds the transition potentials of the weights being
-	// evaluated. compute refills it before the partitions start, and every
-	// partition only reads it.
-	transExp []float64
+	// pot holds the transition potentials of the weights being evaluated.
+	// compute refills it before the partitions start, and every partition
+	// only reads it.
+	pot *potentials
 }
 
 func newGradientWorkers(m *Model, encoded []*encodedSeq, empirical []float64, cfg Config, ctx context.Context, inject *faultinject.Injector) *gradientWorkers {
@@ -263,7 +263,7 @@ func (g *gradientWorkers) compute(theta, grad []float64) (float64, error) {
 	F := len(g.m.featIdx)
 	g.m.emit = theta[:F*L]
 	g.m.trans = theta[F*L:]
-	g.transExp = transPotentials(g.transExp, g.m.trans)
+	g.pot = transPotentials(g.pot, g.m.trans, L)
 
 	parts := len(g.bufs)
 	if err := par.ForEach(g.ctx, g.cfg.Workers, parts, func(p int) error {
@@ -293,15 +293,13 @@ func (g *gradientWorkers) compute(theta, grad []float64) (float64, error) {
 		grad[i] = -g.empirical[i]
 	}
 	for _, buf := range g.bufs {
-		for i, v := range buf {
-			grad[i] += v
-		}
+		addVec(grad, buf)
 	}
 	// L2 term.
 	l2 := g.cfg.L2
+	axpy(l2, theta, grad)
 	var reg float64
-	for i, v := range theta {
-		grad[i] += l2 * v
+	for _, v := range theta {
 		reg += v * v
 	}
 	return loss + 0.5*l2*reg, nil
@@ -317,12 +315,11 @@ func (g *gradientWorkers) sequenceGrad(enc *encodedSeq, fb *fb, buf []float64) f
 	n := len(enc.feats)
 	L := len(g.m.labels)
 	F := len(g.m.featIdx)
-	fb.run(g.m, g.transExp, enc, n)
+	fb.run(g.m, g.pot, enc, n)
 
-	transBase := F * L
 	// Expected emission counts via state marginals, scattered into each
-	// active feature's contiguous row; BOS transition via the first-position
-	// marginal.
+	// active feature's contiguous row of buf (an L-column table); BOS
+	// transition, row F+L of that table, via the first-position marginal.
 	marg := fb.marg
 	for t := 0; t < n; t++ {
 		aRow := fb.alpha[t*L : (t+1)*L]
@@ -330,30 +327,16 @@ func (g *gradientWorkers) sequenceGrad(enc *encodedSeq, fb *fb, buf []float64) f
 		for y := range marg {
 			marg[y] = aRow[y] * bRow[y]
 		}
-		for _, f := range enc.feats[t] {
-			addMarginals(buf[f*L:(f+1)*L], marg)
-		}
+		addMarginalRows(buf, marg, enc.feats[t])
 		if t == 0 {
-			addMarginals(buf[transBase+L*L:transBase+(L+1)*L], marg)
+			addMarginalRows(buf, marg, []int{F + L})
 		}
 	}
 	// Expected transition counts via edge marginals.
+	transBuf := buf[F*L : (F+L)*L]
 	for t := 1; t < n; t++ {
-		aPrev := fb.alpha[(t-1)*L : t*L]
-		bCur := fb.beta[t*L : (t+1)*L]
-		emitCur := fb.emitExp[t*L : (t+1)*L]
-		invC := 1 / fb.scale[t]
-		for p := 0; p < L; p++ {
-			ap := aPrev[p]
-			if ap == 0 {
-				continue
-			}
-			trow := g.transExp[p*L : (p+1)*L]
-			dst := buf[transBase+p*L : transBase+(p+1)*L]
-			for y := 0; y < L; y++ {
-				dst[y] += ap * trow[y] * emitCur[y] * bCur[y] * invC
-			}
-		}
+		edgeStep(transBuf, fb.alpha[(t-1)*L:t*L], g.pot.exp[:L*L],
+			fb.emitExp[t*L:(t+1)*L], fb.beta[t*L:(t+1)*L], 1/fb.scale[t])
 	}
 	// Gold path score, from the emission scores the forward pass kept.
 	var gold float64
@@ -363,14 +346,4 @@ func (g *gradientWorkers) sequenceGrad(enc *encodedSeq, fb *fb, buf []float64) f
 		prev = y
 	}
 	return fb.logZ - gold
-}
-
-// addMarginals adds each nonzero marginal into the matching element of dst.
-func addMarginals(dst, marg []float64) {
-	for y, p := range marg {
-		if p == 0 {
-			continue
-		}
-		dst[y] += p
-	}
 }

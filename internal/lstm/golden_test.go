@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -71,6 +72,15 @@ func probsDigest(m *Model, seqs []tagger.Sequence) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenHost names the precondition of the golden digests for a failure
+// message. On amd64, math.Exp takes an FMA path when the CPU has AVX and FMA,
+// and that path can round differently from the portable one, so constants
+// recorded on one CPU class need not hold on another (DESIGN.md §10.1).
+func goldenHost() string {
+	return "GOARCH=" + runtime.GOARCH + "; the constants were recorded on an amd64 CPU with AVX and FMA " +
+		"and hold only where math.Exp takes the same path"
+}
+
 // TestFitGolden pins the exact floats of a default-dimension fit: the saved
 // model bytes and the held-out probability bits must match constants that
 // were recorded before the tiled kernels, deferred backward pass, parallel
@@ -100,10 +110,10 @@ func TestFitGolden(t *testing.T) {
 		}
 		sum := sha256.Sum256(buf.Bytes())
 		if got := hex.EncodeToString(sum[:]); got != wantModel {
-			t.Errorf("workers=%d: model digest %s, want %s", workers, got, wantModel)
+			t.Errorf("workers=%d: model digest %s, want %s (%s)", workers, got, wantModel, goldenHost())
 		}
 		if got := probsDigest(m, held); got != wantProbs {
-			t.Errorf("workers=%d: probabilities digest %s, want %s", workers, got, wantProbs)
+			t.Errorf("workers=%d: probabilities digest %s, want %s (%s)", workers, got, wantProbs, goldenHost())
 		}
 	}
 }
